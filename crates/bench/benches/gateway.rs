@@ -42,7 +42,7 @@ fn sse_token_round_trip(c: &mut Criterion) {
     let mut g = c.benchmark_group("gateway_sse");
     for tokens in [32usize, 512] {
         // Server side: one SSE event per token, each framed as one HTTP
-        // chunk — exactly what the stream pump writes.
+        // chunk — exactly what the SimDriver writes.
         g.bench_function(BenchmarkId::new("encode_stream", tokens), |b| {
             b.iter(|| {
                 let mut wire = Vec::with_capacity(tokens * 96);

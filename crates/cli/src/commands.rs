@@ -599,6 +599,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         "disconnected": d.disconnected,
         "net_faults": report.net_faults.len(),
         "worker_panics": report.worker_panics,
+        "backlog_rejected": report.backlog_rejected,
         "final_health": report.final_health,
         "drained": terminated,
         "prefix_hits": run.map(|r| r.prefix_hits).unwrap_or(0),
@@ -612,7 +613,8 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
         let mut out = format!(
             "gateway served {} requests: {} completed, {} rejected, {} aborted, \
              {} deadline-exceeded, {} disconnected\n\
-             injected {} net faults | {} worker panics | final health {}\n",
+             injected {} net faults | {} worker panics | {} backlog-full 503s | \
+             final health {}\n",
             d.submitted,
             d.completed,
             d.rejected,
@@ -621,6 +623,7 @@ pub fn serve(args: &Args) -> Result<String, ArgError> {
             d.disconnected,
             report.net_faults.len(),
             report.worker_panics,
+            report.backlog_rejected,
             report.final_health,
         );
         if let Some(r) = run.filter(|r| r.prefix_hits + r.prefix_misses > 0) {
@@ -1303,6 +1306,7 @@ tier = 1
         assert_eq!(v["deadline_exceeded"].as_u64(), Some(0));
         assert_eq!(v["net_faults"].as_u64(), Some(0));
         assert_eq!(v["worker_panics"].as_u64(), Some(0));
+        assert_eq!(v["backlog_rejected"].as_u64(), Some(0));
         assert_eq!(v["final_health"].as_str(), Some("healthy"));
         assert!(v["error"].is_null(), "{v:?}");
     }

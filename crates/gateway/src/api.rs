@@ -100,6 +100,21 @@ pub fn drop_body(reason: DropReason) -> Vec<u8> {
     )
 }
 
+/// `Retry-After` seconds suggested on admission rejections and drain.
+pub(crate) const RETRY_AFTER_SECS: u64 = 1;
+
+/// The whole HTTP response for a request the cluster dropped: its
+/// [`drop_body`] under [`DropReason::http_status`], with a
+/// `Retry-After` hint.
+pub(crate) fn drop_response(reason: DropReason) -> Vec<u8> {
+    crate::http::response_with_headers(
+        reason.http_status(),
+        "application/json",
+        &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
+        &drop_body(reason),
+    )
+}
+
 /// The `data:` payload of one streamed token event.
 pub fn token_event_json(id: RequestId, token_index: u32, virtual_secs: f64) -> String {
     serde_json::to_string(&serde_json::json!({

@@ -11,8 +11,17 @@
 //! rejection surfaces as a real `429`/`503` before any stream bytes are
 //! written); per-token completions route back to the submitting
 //! connection through a [`Sink`].
+//!
+//! The same thread owns every admitted HTTP response. A [`Sink::Http`]
+//! request gets a per-request output buffer at admission; routing a
+//! token appends its framed SSE event, and after each loop iteration
+//! the driver writes the buffers that grew to their non-blocking
+//! sockets. A socket whose write fails is reclaimed on the spot, so no
+//! other thread ever has to report a dead stream back.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -24,9 +33,15 @@ use windserve_trace::TraceEvent;
 use windserve_workload::{Request, RequestId, SessionId};
 
 use crate::api;
-use crate::http::{encode_chunk, LAST_CHUNK};
-use crate::pump::{Frame, PumpHandle};
+use crate::http::{self, encode_chunk, LAST_CHUNK};
 use crate::sse::SseEvent;
+
+/// Per-request cap on response bytes buffered for a slow client.
+const MAX_BUFFERED_BYTES: usize = 256 * 1024;
+
+/// How long the driver waits before retrying a socket that would not
+/// take all of its buffered bytes.
+const WRITE_RETRY: Duration = Duration::from_millis(1);
 
 /// Where a request's live updates go.
 #[derive(Debug, Clone)]
@@ -34,13 +49,16 @@ pub enum Sink {
     /// Deliver typed updates over a channel (non-streamed responses,
     /// tests).
     Channel(Sender<StreamUpdate>),
-    /// Frame updates as SSE chunks and push them to the stream pump
-    /// under this stream id.
-    Pump {
-        /// Handle to the pump thread.
-        pump: PumpHandle,
-        /// The pump stream the bytes belong to.
-        stream: u64,
+    /// The driver writes the HTTP response itself, to the client socket
+    /// handed over with [`DriverHandle::attach`] once the request is
+    /// admitted. Bytes produced before the socket arrives are buffered.
+    /// A stream's fixed `200` head ([`http::sse_response_head`]) is the
+    /// caller's to write before attaching; a unary response is written
+    /// whole, head included, when the request ends.
+    Http {
+        /// Stream tokens as SSE events (`false`: one JSON response once
+        /// the request ends).
+        stream: bool,
     },
 }
 
@@ -117,10 +135,15 @@ enum Msg {
     Snapshot {
         reply: Sender<SessionSnapshot>,
     },
+    /// Hand an admitted [`Sink::Http`] request's client socket to the
+    /// driver.
+    Attach {
+        id: RequestId,
+        sock: TcpStream,
+        stall: Option<Duration>,
+    },
     /// Record a gateway-layer event into the session trace.
     Trace(TraceEvent),
-    /// A pump stream died mid-flight (client disconnect); reclaim it.
-    StreamDead(u64),
     /// Injected driver stall (network chaos): sleep on the driver thread.
     Stall(Duration),
     Shutdown {
@@ -182,10 +205,15 @@ impl DriverHandle {
         let _ = self.tx.send(Msg::Trace(ev));
     }
 
-    /// Reports a pump stream that died mid-flight so the driver reclaims
-    /// its routing state instead of feeding a vanished client forever.
-    pub fn stream_dead(&self, stream: u64) {
-        let _ = self.tx.send(Msg::StreamDead(stream));
+    /// Hands the client socket of a request admitted with
+    /// [`Sink::Http`] to the driver, which writes the buffered response
+    /// bytes after whatever the caller already wrote, keeps writing
+    /// until the response ends, then closes it. A
+    /// `stall` (network chaos) holds every byte for that long first.
+    /// The socket is dropped if the driver is gone or the request's
+    /// response already failed.
+    pub fn attach(&self, id: RequestId, sock: TcpStream, stall: Option<Duration>) {
+        let _ = self.tx.send(Msg::Attach { id, sock, stall });
     }
 
     /// Injects a driver stall (network chaos): the driver thread sleeps
@@ -275,12 +303,83 @@ impl SimDriver {
 /// Per-request live routing state.
 struct StreamState {
     sink: Sink,
+    prompt_tokens: u32,
     submitted_at: SimTime,
     first_token_at: Option<SimTime>,
     tokens: u32,
     /// Virtual instant past which the stream is killed with
     /// `deadline-exceeded` (mapped from the wall-clock budget).
     deadline: Option<SimTime>,
+}
+
+/// How a routed request ends.
+enum End {
+    /// Finished at this virtual instant with every token delivered.
+    Done(SimTime),
+    /// Dropped after admission; `event` names the terminal SSE event.
+    Aborted {
+        reason: DropReason,
+        event: &'static str,
+    },
+}
+
+/// The driver-owned half of an admitted [`Sink::Http`] request: the
+/// response bytes not yet written and, once attached, the socket. It
+/// outlives the routing entry until its last byte is written.
+#[derive(Default)]
+struct Conn {
+    sock: Option<TcpStream>,
+    buf: Vec<u8>,
+    /// How many leading bytes of `buf` are already written.
+    written: usize,
+    /// The response is complete: close the socket once `buf` drains.
+    closing: bool,
+    /// Injected write stall (network chaos): hold bytes until then.
+    stall_until: Option<Instant>,
+}
+
+/// What one write attempt left behind.
+enum Flush {
+    /// Bytes remain behind a write stall or a full kernel buffer: try
+    /// again at this instant.
+    RetryAt(Instant),
+    /// Nothing to write until more bytes or the socket arrive.
+    Idle,
+    /// Everything written and the response closed.
+    Closed,
+    /// The socket failed; the client is gone.
+    Dead,
+}
+
+impl Conn {
+    /// Writes what the kernel takes without blocking.
+    fn flush(&mut self, now: Instant) -> Flush {
+        if let Some(until) = self.stall_until.filter(|until| now < *until) {
+            return Flush::RetryAt(until);
+        }
+        self.stall_until = None;
+        let Some(sock) = self.sock.as_mut() else {
+            return Flush::Idle;
+        };
+        while self.written < self.buf.len() {
+            match sock.write(&self.buf[self.written..]) {
+                Ok(0) => return Flush::Dead,
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    return Flush::RetryAt(now + WRITE_RETRY)
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Flush::Dead,
+            }
+        }
+        self.buf.clear();
+        self.written = 0;
+        if self.closing {
+            let _ = sock.shutdown(std::net::Shutdown::Write);
+            return Flush::Closed;
+        }
+        Flush::Idle
+    }
 }
 
 /// Longest injected driver stall honored per message — a chaos plan can
@@ -301,9 +400,11 @@ struct GatewaySession {
 struct Driver {
     session: ClusterSession,
     streams: HashMap<RequestId, StreamState>,
-    /// Pump stream id → request, so a dead-socket notification can
-    /// reclaim the right routing entry.
-    pump_streams: HashMap<u64, RequestId>,
+    /// Response buffers and sockets of admitted [`Sink::Http`] requests.
+    conns: HashMap<RequestId, Conn>,
+    /// Conns with bytes to write: grown, attached, or still pending
+    /// after the last attempt.
+    unflushed: HashSet<RequestId>,
     /// Conversation state per `x-session-id` key.
     sessions: HashMap<String, GatewaySession>,
     next_session: u64,
@@ -365,12 +466,20 @@ fn scaled_virtual_micros(nanos: u128, scale_fp: u128) -> u64 {
     u64::try_from(us).unwrap_or(u64::MAX)
 }
 
+/// Real time until virtual instant `at`, rounded up so the clock has
+/// reached `at` when the wait ends.
+fn real_wait(at: SimTime, vnow: SimTime, scale: f64) -> Duration {
+    let secs = at.saturating_since(vnow).as_secs_f64() / scale;
+    Duration::from_micros((secs * 1e6).ceil() as u64)
+}
+
 fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     let mut clock = VirtualClock::new(scale);
     let mut driver = Driver {
         session,
         streams: HashMap::new(),
-        pump_streams: HashMap::new(),
+        conns: HashMap::new(),
+        unflushed: HashSet::new(),
         sessions: HashMap::new(),
         next_session: 0,
         next_id: 0,
@@ -385,16 +494,27 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     };
     let shutdown_reply = loop {
         let vnow = clock.now();
-        driver.advance(vnow);
-        // Sleep until the next scheduled event lands (in real time) or a
-        // message arrives, bounded so time keeps advancing smoothly.
-        let timeout = driver
-            .session
-            .next_event_at()
-            .map(|t| t.saturating_since(vnow).as_secs_f64() / scale)
-            .map(|secs| Duration::from_secs_f64(secs.clamp(0.0, 0.005)))
-            .unwrap_or(Duration::from_millis(5));
-        match rx.recv_timeout(timeout) {
+        let next_deadline = driver.advance(vnow);
+        let retry_at = driver.flush_conns(Instant::now());
+        // Sleep until the next simulated event or stream deadline lands
+        // (in real time), a stalled or backed-up socket is due a retry,
+        // or a message arrives. With none of those, block on the mailbox.
+        let wake = match (driver.session.next_event_at(), next_deadline) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        let timeout = [
+            wake.map(|at| real_wait(at, vnow, scale)),
+            retry_at.map(|at| at.saturating_duration_since(Instant::now())),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        let msg = match timeout {
+            Some(timeout) => rx.recv_timeout(timeout),
+            None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match msg {
             Ok(Msg::Shutdown { reply }) => break Some(reply),
             Ok(msg) => driver.handle(msg, clock.now()),
             Err(RecvTimeoutError::Timeout) => {}
@@ -403,13 +523,15 @@ fn driver_loop(session: ClusterSession, rx: &Receiver<Msg>, scale: f64) {
     };
     // Drain in-flight work so every admitted request reaches a terminal
     // state (tokens stream out at full simulation speed, untied from the
-    // wall clock now that the gateway is closing).
+    // wall clock now that the gateway is closing), then make one last
+    // best-effort write of every response.
     if driver.error.is_none() {
         if let Err(e) = driver.session.pump_to_drain() {
             driver.error = Some(e.to_string());
         }
         driver.route_live_events();
     }
+    driver.flush_conns(Instant::now());
     let Driver {
         session,
         submitted,
@@ -476,57 +598,42 @@ impl Driver {
 
     /// Pumps the session to the mapped virtual instant, routes every
     /// live event produced, then kills streams past their deadline.
-    fn advance(&mut self, vnow: SimTime) {
+    /// Returns the earliest deadline still pending.
+    fn advance(&mut self, vnow: SimTime) -> Option<SimTime> {
         if self.error.is_some() {
-            return;
+            return None;
         }
         if let Err(e) = self.session.pump_until(vnow) {
             self.error = Some(e.to_string());
         }
         self.route_live_events();
-        self.enforce_deadlines(vnow);
+        self.enforce_deadlines(vnow)
     }
 
     /// Aborts every live stream whose virtual deadline has passed: the
-    /// client gets a typed `deadline-exceeded` SSE terminal (or a
-    /// [`StreamUpdate::Aborted`]), and the routing entry is dropped so
-    /// later sim events for the request are ignored.
-    fn enforce_deadlines(&mut self, vnow: SimTime) {
-        let expired: Vec<RequestId> = self
-            .streams
-            .iter()
-            .filter(|(_, s)| s.deadline.is_some_and(|d| vnow >= d))
-            .map(|(id, _)| *id)
-            .collect();
-        for id in expired {
-            let Some(state) = self.streams.remove(&id) else {
-                continue;
-            };
-            self.deadline_exceeded += 1;
-            if let Sink::Pump { stream, .. } = &state.sink {
-                self.pump_streams.remove(stream);
-            }
-            self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                id,
-                delivered_tokens: state.tokens,
-            });
-            match &state.sink {
-                Sink::Channel(tx) => {
-                    let _ = tx.send(StreamUpdate::Aborted {
-                        reason: DropReason::DeadlineExceeded,
-                    });
-                }
-                Sink::Pump { pump, stream } => {
-                    let body = String::from_utf8(api::drop_body(DropReason::DeadlineExceeded))
-                        .unwrap_or_default();
-                    let ev = SseEvent::named(DropReason::DeadlineExceeded.label(), body);
-                    let mut bytes = encode_chunk(&ev.encode());
-                    bytes.extend_from_slice(LAST_CHUNK);
-                    pump.push(*stream, Frame::Data(bytes));
-                    pump.push(*stream, Frame::Close);
-                }
+    /// client gets a typed `deadline-exceeded` terminal (an SSE event, a
+    /// `503` response, or a [`StreamUpdate::Aborted`]), and the routing
+    /// entry is dropped so later sim events for the request are ignored.
+    /// Returns the earliest deadline that has not passed yet.
+    fn enforce_deadlines(&mut self, vnow: SimTime) -> Option<SimTime> {
+        let mut expired = Vec::new();
+        let mut next: Option<SimTime> = None;
+        for (id, state) in &self.streams {
+            match state.deadline {
+                Some(d) if vnow >= d => expired.push(*id),
+                Some(d) => next = Some(next.map_or(d, |n| n.min(d))),
+                None => {}
             }
         }
+        for id in expired {
+            if let Some(state) = self.streams.remove(&id) {
+                self.deadline_exceeded += 1;
+                let reason = DropReason::DeadlineExceeded;
+                let event = reason.label();
+                self.end_stream(id, state, End::Aborted { reason, event });
+            }
+        }
+        next
     }
 
     fn handle(&mut self, msg: Msg, vnow: SimTime) {
@@ -558,7 +665,7 @@ impl Driver {
                     id,
                     prompt_tokens,
                     output_tokens,
-                    streamed: matches!(sink, Sink::Pump { .. }),
+                    streamed: matches!(sink, Sink::Http { stream: true }),
                 });
                 // Pump past the arrival instant: an admission rejection
                 // (queue cap, token budget, shed-on-admit) shows up as a
@@ -590,13 +697,14 @@ impl Driver {
                         let deadline = timeout_secs
                             .filter(|secs| secs.is_finite() && *secs > 0.0)
                             .map(|secs| vnow + SimDuration::from_secs_f64(secs * self.scale));
-                        if let Sink::Pump { stream, .. } = &sink {
-                            self.pump_streams.insert(*stream, id);
+                        if let Sink::Http { .. } = sink {
+                            self.conns.insert(id, Conn::default());
                         }
                         self.streams.insert(
                             id,
                             StreamState {
                                 sink,
+                                prompt_tokens,
                                 submitted_at: vnow,
                                 first_token_at: None,
                                 tokens: 0,
@@ -611,27 +719,22 @@ impl Driver {
                     }
                 }
             }
+            Msg::Attach { id, sock, stall } => {
+                // No conn means the response already failed (overflow):
+                // dropping the socket closes the connection.
+                let Some(conn) = self.conns.get_mut(&id) else {
+                    return;
+                };
+                let _ = sock.set_nonblocking(true);
+                conn.sock = Some(sock);
+                conn.stall_until = stall.map(|dur| Instant::now() + dur);
+                self.unflushed.insert(id);
+            }
             Msg::Snapshot { reply } => {
                 let _ = reply.send(self.session.snapshot());
             }
             Msg::Trace(ev) => {
                 self.session.emit_trace(ev);
-            }
-            Msg::StreamDead(stream) => {
-                let Some(id) = self.pump_streams.remove(&stream) else {
-                    return;
-                };
-                let Some(state) = self.streams.remove(&id) else {
-                    return;
-                };
-                self.disconnected += 1;
-                self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                    id,
-                    delivered_tokens: state.tokens,
-                });
-                // The sim keeps producing tokens for the request; with
-                // the routing entry gone they are dropped on the floor,
-                // which is exactly what a vanished client deserves.
             }
             Msg::Stall(dur) => {
                 std::thread::sleep(dur.min(MAX_DRIVER_STALL));
@@ -651,7 +754,8 @@ impl Driver {
     fn route_one(&mut self, ev: LiveEvent) {
         let id = ev.request_id();
         let Some(state) = self.streams.get_mut(&id) else {
-            // Rejected at submission (already answered) or unknown.
+            // Rejected at submission (already answered), reclaimed, or
+            // unknown.
             return;
         };
         match ev {
@@ -666,11 +770,13 @@ impl Driver {
                             virtual_secs: at.as_secs_f64(),
                         });
                     }
-                    Sink::Pump { pump, stream } => {
+                    Sink::Http { stream: true } => {
                         let payload =
                             SseEvent::data(api::token_event_json(id, index, at.as_secs_f64()));
-                        pump.push(*stream, Frame::Data(encode_chunk(&payload.encode())));
+                        self.send(id, &encode_chunk(&payload.encode()), false);
                     }
+                    // A unary response is written whole when it ends.
+                    Sink::Http { stream: false } => {}
                 }
             }
             LiveEvent::Finished { at, .. } => {
@@ -680,76 +786,270 @@ impl Driver {
                 let Some(state) = self.streams.remove(&id) else {
                     return;
                 };
-                if let Sink::Pump { stream, .. } = &state.sink {
-                    self.pump_streams.remove(stream);
-                }
                 self.completed += 1;
-                self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                    id,
-                    delivered_tokens: state.tokens,
-                });
-                let ttft = state
-                    .first_token_at
-                    .unwrap_or(at)
-                    .saturating_since(state.submitted_at)
-                    .as_secs_f64();
-                let latency = at.saturating_since(state.submitted_at).as_secs_f64();
-                match &state.sink {
-                    Sink::Channel(tx) => {
-                        let _ = tx.send(StreamUpdate::Done {
-                            tokens: state.tokens,
-                            ttft_virtual_secs: ttft,
-                            latency_virtual_secs: latency,
-                        });
-                    }
-                    Sink::Pump { pump, stream } => {
-                        let done = SseEvent::data(api::DONE_SENTINEL);
-                        let mut bytes = encode_chunk(&done.encode());
-                        bytes.extend_from_slice(LAST_CHUNK);
-                        pump.push(*stream, Frame::Data(bytes));
-                        pump.push(*stream, Frame::Close);
-                    }
-                }
+                self.end_stream(id, state, End::Done(at));
             }
             LiveEvent::Dropped { reason, .. } => {
                 let Some(state) = self.streams.remove(&id) else {
                     return;
                 };
-                if let Sink::Pump { stream, .. } = &state.sink {
-                    self.pump_streams.remove(stream);
-                }
                 self.aborted += 1;
-                self.session.emit_trace(TraceEvent::GatewayStreamClosed {
-                    id,
-                    delivered_tokens: state.tokens,
-                });
-                match &state.sink {
-                    Sink::Channel(tx) => {
-                        let _ = tx.send(StreamUpdate::Aborted { reason });
-                    }
-                    Sink::Pump { pump, stream } => {
-                        let body = String::from_utf8(api::drop_body(reason)).unwrap_or_default();
-                        let ev = SseEvent::named("error", body);
-                        let mut bytes = encode_chunk(&ev.encode());
-                        bytes.extend_from_slice(LAST_CHUNK);
-                        pump.push(*stream, Frame::Data(bytes));
-                        pump.push(*stream, Frame::Close);
-                    }
-                }
+                let event = "error";
+                self.end_stream(id, state, End::Aborted { reason, event });
             }
         }
     }
+
+    /// Delivers the terminal update for a request whose routing entry was
+    /// just removed: a typed update on a channel, or the response's last
+    /// bytes (then close) on an HTTP sink.
+    fn end_stream(&mut self, id: RequestId, state: StreamState, end: End) {
+        self.session.emit_trace(TraceEvent::GatewayStreamClosed {
+            id,
+            delivered_tokens: state.tokens,
+        });
+        let bytes = match (&state.sink, end) {
+            (Sink::Channel(tx), End::Done(at)) => {
+                let _ = tx.send(StreamUpdate::Done {
+                    tokens: state.tokens,
+                    ttft_virtual_secs: ttft_secs(&state, at),
+                    latency_virtual_secs: at.saturating_since(state.submitted_at).as_secs_f64(),
+                });
+                return;
+            }
+            (Sink::Channel(tx), End::Aborted { reason, .. }) => {
+                let _ = tx.send(StreamUpdate::Aborted { reason });
+                return;
+            }
+            (Sink::Http { stream: true }, End::Done(_)) => {
+                let mut bytes = encode_chunk(&SseEvent::data(api::DONE_SENTINEL).encode());
+                bytes.extend_from_slice(LAST_CHUNK);
+                bytes
+            }
+            (Sink::Http { stream: true }, End::Aborted { reason, event }) => {
+                let body = String::from_utf8(api::drop_body(reason)).unwrap_or_default();
+                let mut bytes = encode_chunk(&SseEvent::named(event, body).encode());
+                bytes.extend_from_slice(LAST_CHUNK);
+                bytes
+            }
+            (Sink::Http { stream: false }, End::Done(at)) => {
+                let body = api::completion_body(
+                    id,
+                    state.prompt_tokens,
+                    state.tokens,
+                    ttft_secs(&state, at),
+                    at.saturating_since(state.submitted_at).as_secs_f64(),
+                );
+                http::simple_response(200, "application/json", &body)
+            }
+            (Sink::Http { stream: false }, End::Aborted { reason, .. }) => {
+                api::drop_response(reason)
+            }
+        };
+        self.send(id, &bytes, true);
+    }
+
+    /// Appends response bytes for `id` (closing the response after them
+    /// when `close`). A client that lets more than
+    /// [`MAX_BUFFERED_BYTES`] pile up is dropped, not the heap grown.
+    fn send(&mut self, id: RequestId, bytes: &[u8], close: bool) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        if conn.buf.len() - conn.written + bytes.len() > MAX_BUFFERED_BYTES {
+            self.reclaim(id);
+            return;
+        }
+        conn.buf.extend_from_slice(bytes);
+        conn.closing |= close;
+        self.unflushed.insert(id);
+    }
+
+    /// Writes every conn with bytes to write. Returns when the earliest
+    /// conn still holding bytes is due a retry: the end of its write
+    /// stall, or [`WRITE_RETRY`] from now for a backed-up socket.
+    fn flush_conns(&mut self, now: Instant) -> Option<Instant> {
+        let mut retry_at: Option<Instant> = None;
+        let mut dead = Vec::new();
+        let conns = &mut self.conns;
+        self.unflushed.retain(|id| {
+            let Some(conn) = conns.get_mut(id) else {
+                return false;
+            };
+            match conn.flush(now) {
+                Flush::RetryAt(at) => {
+                    retry_at = Some(retry_at.map_or(at, |r| r.min(at)));
+                    true
+                }
+                Flush::Idle => false,
+                Flush::Closed => {
+                    conns.remove(id);
+                    false
+                }
+                Flush::Dead => {
+                    dead.push(*id);
+                    false
+                }
+            }
+        });
+        for id in dead {
+            self.reclaim(id);
+        }
+        retry_at
+    }
+
+    /// Drops a response whose client is gone (failed write or overflow).
+    /// A request still routing is counted as disconnected, and the sim
+    /// tokens it keeps producing fall on the floor.
+    fn reclaim(&mut self, id: RequestId) {
+        self.conns.remove(&id);
+        self.unflushed.remove(&id);
+        if let Some(state) = self.streams.remove(&id) {
+            self.disconnected += 1;
+            self.session.emit_trace(TraceEvent::GatewayStreamClosed {
+                id,
+                delivered_tokens: state.tokens,
+            });
+        }
+    }
+}
+
+/// Virtual seconds from submission to the first token (to `at` when no
+/// token was produced).
+fn ttft_secs(state: &StreamState, at: SimTime) -> f64 {
+    state
+        .first_token_at
+        .unwrap_or(at)
+        .saturating_since(state.submitted_at)
+        .as_secs_f64()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::http::ResponseParser;
+    use crate::sse::SseParser;
+    use std::io::Read;
+    use std::net::TcpListener;
     use windserve::SystemKind;
 
     fn test_config() -> ServeConfig {
         let mut cfg = ServeConfig::opt_13b_sharegpt(SystemKind::WindServe);
         cfg.trace = windserve_trace::TraceMode::Ring(4096);
         cfg
+    }
+
+    /// A connected `(client, server)` loopback socket pair whose server
+    /// side has already sent the SSE head, as a gateway worker does
+    /// before attaching.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        server.write_all(&http::sse_response_head()).unwrap();
+        (client, server)
+    }
+
+    /// Reads a streamed response to EOF: its status and SSE events.
+    fn read_stream(mut client: TcpStream) -> (Option<u16>, Vec<SseEvent>) {
+        let mut bytes = Vec::new();
+        client.read_to_end(&mut bytes).unwrap();
+        let mut parser = ResponseParser::new();
+        parser.feed(&bytes).unwrap();
+        assert!(parser.is_done(), "the chunked stream must terminate");
+        (parser.status(), SseParser::new().feed(&parser.take_body()))
+    }
+
+    fn assert_tokens_then_done(events: &[SseEvent], tokens: usize) {
+        assert_eq!(events.len(), tokens + 1, "{events:?}");
+        for (i, ev) in events[..tokens].iter().enumerate() {
+            let v: serde_json::Value = serde_json::from_str(&ev.data).unwrap();
+            assert_eq!(v["token_index"].as_u64(), Some(i as u64), "token order");
+        }
+        assert_eq!(events[tokens].data, api::DONE_SENTINEL);
+    }
+
+    #[test]
+    fn frames_produced_before_attach_arrive_in_order() {
+        let driver = SimDriver::spawn(test_config(), 1000.0).unwrap();
+        let handle = driver.handle();
+        let id = handle
+            .submit(64, 4, 0, None, None, Sink::Http { stream: true })
+            .unwrap();
+        // The request finishes before any socket exists, so every token
+        // and the terminator wait in its buffer.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while handle.snapshot().unwrap().completed_requests == 0 {
+            assert!(Instant::now() < deadline, "request never finished");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let (client, server) = socket_pair();
+        handle.attach(id, server, None);
+        let (status, events) = read_stream(client);
+        assert_eq!(status, Some(200));
+        assert_tokens_then_done(&events, 4);
+        let report = driver.shutdown();
+        assert_eq!(report.completed, 1);
+        assert_eq!(report.disconnected, 0);
+    }
+
+    #[test]
+    fn dead_sockets_are_reclaimed_once_and_late_tokens_dropped() {
+        // Slow enough that 512 tokens outlive the client.
+        let driver = SimDriver::spawn(test_config(), 5.0).unwrap();
+        let handle = driver.handle();
+        let id = handle
+            .submit(64, 512, 0, None, None, Sink::Http { stream: true })
+            .unwrap();
+        let (mut client, server) = socket_pair();
+        handle.attach(id, server, None);
+        // Take one byte of the head, then vanish with unread bytes
+        // queued: the next write the driver makes fails.
+        let mut first = [0u8; 1];
+        client.read_exact(&mut first).unwrap();
+        drop(client);
+        std::thread::sleep(Duration::from_millis(300));
+        // Shutdown drains the sim at full speed: the request's remaining
+        // tokens and its finish land after the reclaim and must be
+        // dropped, neither completing it nor reclaiming it twice.
+        let report = driver.shutdown();
+        assert_eq!(report.disconnected, 1, "reclaimed exactly once");
+        assert_eq!(report.completed, 0, "late tokens must not complete it");
+        assert_eq!(report.aborted, 0);
+        assert!(report.error.is_none(), "{:?}", report.error);
+    }
+
+    #[test]
+    fn stalled_writes_resume_after_the_stall_window() {
+        let driver = SimDriver::spawn(test_config(), 1000.0).unwrap();
+        let handle = driver.handle();
+        let id = handle
+            .submit(64, 4, 0, None, None, Sink::Http { stream: true })
+            .unwrap();
+        let (mut client, server) = socket_pair();
+        let start = Instant::now();
+        handle.attach(id, server, Some(Duration::from_millis(50)));
+        let mut head = vec![0u8; http::sse_response_head().len()];
+        client.read_exact(&mut head).unwrap();
+        let mut first = [0u8; 1];
+        client.read_exact(&mut first).unwrap();
+        assert!(
+            start.elapsed() >= Duration::from_millis(40),
+            "bytes must be held for the stall window"
+        );
+        let mut bytes = [head, first.to_vec()].concat();
+        client.read_to_end(&mut bytes).unwrap();
+        let mut parser = ResponseParser::new();
+        parser.feed(&bytes).unwrap();
+        assert!(parser.is_done(), "the chunked stream must terminate");
+        let events = SseParser::new().feed(&parser.take_body());
+        let status = parser.status();
+        assert_eq!(status, Some(200));
+        assert_tokens_then_done(&events, 4);
+        assert_eq!(driver.shutdown().completed, 1);
     }
 
     /// Regression: the wall-to-virtual mapping must stay exact and

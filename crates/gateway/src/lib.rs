@@ -15,10 +15,11 @@
 //! Behind the listener sits the [`driver::SimDriver`]: one thread owning
 //! a [`ClusterSession`](windserve::ClusterSession), mapping wall-clock
 //! time onto virtual time (`virtual_now = real_elapsed × time_scale`)
-//! and routing per-token live events back to open response streams
-//! through the [`pump::StreamPump`]. Overload control inside the
-//! simulator surfaces as real `429`/`503` responses with typed JSON
-//! bodies.
+//! and owning every admitted completion's socket: it frames per-token
+//! live events as SSE chunks (or a unary request's one JSON response)
+//! and writes them itself, non-blocking, so a token never crosses a
+//! thread. Overload control inside the simulator surfaces as real
+//! `429`/`503` responses with typed JSON bodies.
 //!
 //! [`loadgen`] closes the loop: an open-loop Poisson client that holds
 //! thousands of concurrent SSE streams against the server and reports
@@ -34,7 +35,6 @@ pub mod health;
 pub mod http;
 pub mod loadgen;
 pub mod pool;
-pub mod pump;
 pub mod registry;
 pub mod server;
 pub mod sse;

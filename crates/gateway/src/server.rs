@@ -2,25 +2,27 @@
 //! between HTTP connections and the [`SimDriver`].
 //!
 //! Threading model: one acceptor thread, a bounded [`WorkerPool`] that
-//! parses requests and writes response heads, one [`StreamPump`] thread
-//! that owns every open SSE socket, and one driver thread that owns the
-//! simulation. A worker is occupied only for the life of a request's
-//! *head* — a streaming response parks its socket on the pump and frees
-//! the worker immediately, which is how a small pool sustains thousands
-//! of concurrent streams.
+//! parses requests and answers everything but admitted completions, and
+//! one driver thread that owns the simulation *and* every admitted
+//! completion's socket. A worker is occupied only until the admission
+//! verdict: an admitted completion, streamed or unary, hands its socket
+//! to the driver, which writes the response as the virtual clock
+//! produces it, so a small pool sustains thousands of concurrent
+//! requests and a long unary completion never holds a worker.
 //!
 //! Resilience: every admission passes the [`Health`] gate (draining and
 //! circuit-breaker fast-fails answer `503` + `Retry-After` without
 //! touching the driver), per-request deadlines propagate to the driver,
-//! dead SSE sockets are reported back so the driver reclaims their
-//! streams, and an optional seeded [`NetFaultPlan`] injects network
-//! chaos (connection resets, slow-loris reads, stalled writes, worker
-//! panics, driver stalls) at the transport layer.
+//! the driver reclaims a request the moment its socket fails, a full
+//! worker backlog answers `503 overloaded` and is counted, and an
+//! optional seeded [`NetFaultPlan`] injects network chaos (connection
+//! resets, slow-loris reads, stalled writes, worker panics, driver
+//! stalls) at the transport layer.
 
 use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use serde_json::Value;
@@ -28,21 +30,17 @@ use windserve::{Error, ServeConfig};
 use windserve_faults::{NetFaultKind, NetFaultPlan, NetFaultRecord};
 use windserve_trace::TraceEvent;
 
-use crate::api::{self, CompletionRequest};
-use crate::driver::{DriverHandle, DriverReport, SimDriver, Sink, StreamUpdate, SubmitError};
+use crate::api::{self, CompletionRequest, RETRY_AFTER_SECS};
+use crate::driver::{DriverHandle, DriverReport, SimDriver, Sink, SubmitError};
 use crate::envelope::json_envelope;
 use crate::health::{Gate, Health, HealthConfig, HealthSignal, HealthState};
 use crate::http::{self, HttpRequest};
 use crate::pool::WorkerPool;
-use crate::pump::{PumpHandle, StreamPump};
 use crate::registry::Registry;
 
 /// Cap on injected slow-loris / stalled-write delays so a chaos plan can
 /// slow the gateway, never wedge it.
 const MAX_INJECTED_DELAY: Duration = Duration::from_secs(2);
-
-/// `Retry-After` seconds suggested on admission rejections and drain.
-const RETRY_AFTER_SECS: u64 = 1;
 
 /// How the gateway is stood up.
 #[derive(Debug, Clone)]
@@ -54,7 +52,7 @@ pub struct GatewayConfig {
     /// Bind port; `0` picks an ephemeral port (read it back via
     /// [`Gateway::addr`]).
     pub port: u16,
-    /// Worker threads parsing requests and writing response heads.
+    /// Worker threads parsing requests and answering admissions.
     pub workers: usize,
     /// Virtual seconds simulated per real second.
     pub time_scale: f64,
@@ -92,6 +90,9 @@ pub struct GatewayReport {
     /// Connection handlers that panicked (injected or otherwise); each
     /// cost only its own connection.
     pub worker_panics: u64,
+    /// Connections answered `503 overloaded` because the worker backlog
+    /// was full.
+    pub backlog_rejected: u64,
     /// The driver's final accounting.
     pub driver: DriverReport,
 }
@@ -99,7 +100,6 @@ pub struct GatewayReport {
 /// Everything a worker needs to answer a request.
 struct Ctx {
     handle: DriverHandle,
-    pump: PumpHandle,
     health: Arc<Health>,
     /// Static control-plane registry, serialized once at startup.
     registry: Value,
@@ -113,9 +113,6 @@ struct Ctx {
     /// Injected-fault log (deterministic for a fixed seed and a
     /// sequential client).
     fault_log: Arc<Mutex<Vec<NetFaultRecord>>>,
-    /// Pump stream ids (decoupled from request ids, which the driver
-    /// assigns after submission).
-    next_stream: AtomicU64,
 }
 
 impl Ctx {
@@ -143,19 +140,16 @@ impl Ctx {
     }
 }
 
-/// A running gateway: listener + workers + pump + driver.
+/// A running gateway: listener + workers + driver.
 pub struct Gateway {
     local_addr: std::net::SocketAddr,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandleWorkerPool>,
-    pump: StreamPump,
+    acceptor: Option<std::thread::JoinHandle<(WorkerPool, u64)>>,
     driver: SimDriver,
     handle: DriverHandle,
     health: Arc<Health>,
     fault_log: Arc<Mutex<Vec<NetFaultRecord>>>,
 }
-
-type JoinHandleWorkerPool = std::thread::JoinHandle<WorkerPool>;
 
 impl std::fmt::Debug for Gateway {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -183,16 +177,6 @@ impl Gateway {
         let max_context = gw.cfg.model.max_context;
         let driver = SimDriver::spawn(gw.cfg, gw.time_scale)?;
         let handle = driver.handle();
-        // Dead SSE sockets loop back to the driver so it reclaims the
-        // stream instead of feeding a vanished client forever.
-        let pump = {
-            let handle = handle.clone();
-            StreamPump::with_notifier(Box::new(move |stream| handle.stream_dead(stream))).map_err(
-                |e| Error::Gateway {
-                    reason: format!("spawn pump: {e}"),
-                },
-            )?
-        };
         let listener =
             TcpListener::bind((gw.addr.as_str(), gw.port)).map_err(|e| Error::Gateway {
                 reason: format!("bind {}:{}: {e}", gw.addr, gw.port),
@@ -204,14 +188,12 @@ impl Gateway {
         let fault_log = Arc::new(Mutex::new(Vec::new()));
         let ctx = Arc::new(Ctx {
             handle: handle.clone(),
-            pump: pump.handle(),
             health: Arc::clone(&health),
             registry,
             max_context,
             request_timeout_secs: gw.request_timeout_secs,
             net_faults: gw.net_faults,
             fault_log: Arc::clone(&fault_log),
-            next_stream: AtomicU64::new(0),
         });
         let stop = Arc::new(AtomicBool::new(false));
         let pool =
@@ -233,7 +215,6 @@ impl Gateway {
             local_addr,
             stop,
             acceptor: Some(acceptor),
-            pump,
             driver,
             handle,
             health,
@@ -293,14 +274,15 @@ impl Gateway {
         // Unblock the acceptor's `accept()` with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         let mut worker_panics = 0;
+        let mut backlog_rejected = 0;
         if let Some(acceptor) = self.acceptor.take() {
-            if let Ok(pool) = acceptor.join() {
+            if let Ok((pool, rejected)) = acceptor.join() {
                 worker_panics = pool.panic_count();
+                backlog_rejected = rejected;
                 pool.shutdown();
             }
         }
         let driver = self.driver.shutdown();
-        self.pump.shutdown();
         let net_faults = self
             .fault_log
             .lock()
@@ -310,6 +292,7 @@ impl Gateway {
             final_health,
             net_faults,
             worker_panics,
+            backlog_rejected,
             driver,
         }
     }
@@ -320,8 +303,9 @@ fn accept_loop(
     stop: &AtomicBool,
     pool: WorkerPool,
     ctx: &Arc<Ctx>,
-) -> WorkerPool {
+) -> (WorkerPool, u64) {
     let mut conn_id: u64 = 0;
+    let mut backlog_rejected: u64 = 0;
     for conn in listener.incoming() {
         if stop.load(Ordering::SeqCst) {
             break;
@@ -347,6 +331,7 @@ fn accept_loop(
         if !accepted {
             // The worker backlog is full: overload of the *gateway*
             // itself, answered inline so the client is not left hanging.
+            backlog_rejected += 1;
             let _ = sock.write_all(&http::response_with_headers(
                 503,
                 "application/json",
@@ -355,7 +340,7 @@ fn accept_loop(
             ));
         }
     }
-    pool
+    (pool, backlog_rejected)
 }
 
 /// Logs one injected fault and mirrors it into the scheduling trace.
@@ -471,8 +456,8 @@ fn effective_timeout_secs(req: &HttpRequest, ctx: &Ctx) -> Option<f64> {
         .or(ctx.request_timeout_secs)
 }
 
-/// `POST /v1/completions`: health gate, admission, then either a parked
-/// SSE stream or a blocking unary response.
+/// `POST /v1/completions`: health gate, admission, then the socket goes
+/// to the driver, which writes the SSE stream or the unary response.
 fn handle_completion(
     mut sock: TcpStream,
     req: &HttpRequest,
@@ -545,114 +530,52 @@ fn handle_completion(
         .map(str::trim)
         .filter(|s| !s.is_empty())
         .map(str::to_string);
-    if creq.stream {
-        let stream = ctx.next_stream.fetch_add(1, Ordering::Relaxed);
-        let sink = Sink::Pump {
-            pump: ctx.pump.clone(),
-            stream,
-        };
-        let result = ctx.handle.submit(
-            creq.prompt_tokens,
-            creq.max_tokens,
-            creq.tier,
-            timeout_secs,
-            session,
-            sink,
-        );
-        for signal in ctx.health.record(result.is_err()) {
-            ctx.emit_signal(signal);
-        }
-        match result {
-            Ok(_) => {
-                if sock.write_all(&http::sse_response_head()).is_ok() {
-                    ctx.pump.register(stream, sock);
-                    if let Some(NetFaultKind::StalledWrite { stall_ms }) = &fault {
-                        // Buffered SSE bytes sit in the pump for the
-                        // stall window before flushing resumes.
-                        ctx.pump.stall(
-                            stream,
-                            Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY),
-                        );
-                    }
-                }
-                // Token frames queued before registration are buffered by
-                // the pump; the worker is free as soon as the head is out.
+    let result = ctx.handle.submit(
+        creq.prompt_tokens,
+        creq.max_tokens,
+        creq.tier,
+        timeout_secs,
+        session,
+        Sink::Http {
+            stream: creq.stream,
+        },
+    );
+    for signal in ctx.health.record(result.is_err()) {
+        ctx.emit_signal(signal);
+    }
+    match result {
+        // The driver writes the response from here on; the worker is
+        // free. Bytes produced before the socket arrives wait for it.
+        Ok(id) => {
+            // A stream's head is fixed, so it goes out at once from this
+            // thread. If it fails the socket is still handed over: the
+            // driver's first write fails too and reclaims the request.
+            if creq.stream {
+                let _ = sock.write_all(&http::sse_response_head());
             }
-            Err(e) => write_submit_error(&mut sock, &e),
-        }
-    } else {
-        if let Some(NetFaultKind::StalledWrite { stall_ms }) = &fault {
-            // Unary responses stall before any byte is written.
-            std::thread::sleep(Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY));
-        }
-        let (tx, rx) = mpsc::channel();
-        let result = ctx.handle.submit(
-            creq.prompt_tokens,
-            creq.max_tokens,
-            creq.tier,
-            timeout_secs,
-            session,
-            Sink::Channel(tx),
-        );
-        for signal in ctx.health.record(result.is_err()) {
-            ctx.emit_signal(signal);
-        }
-        match result {
-            Ok(id) => loop {
-                match rx.recv() {
-                    Ok(StreamUpdate::Token { .. }) => {}
-                    Ok(StreamUpdate::Done {
-                        tokens,
-                        ttft_virtual_secs,
-                        latency_virtual_secs,
-                    }) => {
-                        let body = api::completion_body(
-                            id,
-                            creq.prompt_tokens,
-                            tokens,
-                            ttft_virtual_secs,
-                            latency_virtual_secs,
-                        );
-                        let _ =
-                            sock.write_all(&http::simple_response(200, "application/json", &body));
-                        return;
-                    }
-                    Ok(StreamUpdate::Aborted { reason }) => {
-                        let _ = sock.write_all(&http::response_with_headers(
-                            reason.http_status(),
-                            "application/json",
-                            &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
-                            &api::drop_body(reason),
-                        ));
-                        return;
-                    }
-                    Err(_) => {
-                        let _ = sock.write_all(&http::simple_response(
-                            503,
-                            "application/json",
-                            &api::error_body(503, "unavailable", "driver went away"),
-                        ));
-                        return;
-                    }
+            let stall = match &fault {
+                // The driver holds the response's bytes for the stall
+                // window before its first write.
+                Some(NetFaultKind::StalledWrite { stall_ms }) => {
+                    Some(Duration::from_millis(*stall_ms).min(MAX_INJECTED_DELAY))
                 }
-            },
-            Err(e) => write_submit_error(&mut sock, &e),
+                _ => None,
+            };
+            ctx.handle.attach(id, sock, stall);
         }
+        Err(e) => write_submit_error(&mut sock, &e),
     }
 }
 
 fn write_submit_error(sock: &mut TcpStream, err: &SubmitError) {
-    let (status, body) = match err {
-        SubmitError::Dropped(reason) => (reason.http_status(), api::drop_body(*reason)),
-        SubmitError::Unavailable => (
-            503u16,
-            api::error_body(503, "unavailable", "the gateway is shutting down"),
+    let response = match err {
+        SubmitError::Dropped(reason) => api::drop_response(*reason),
+        SubmitError::Unavailable => http::response_with_headers(
+            503,
+            "application/json",
+            &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
+            &api::error_body(503, "unavailable", "the gateway is shutting down"),
         ),
     };
-    let _ = sock.write_all(&http::response_with_headers(
-        status,
-        "application/json",
-        &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
-        &body,
-    ));
+    let _ = sock.write_all(&response);
 }

@@ -296,3 +296,77 @@ fn malformed_requests_get_typed_errors_and_service_continues() {
     assert_eq!(report.driver.completed, 1);
     assert!(report.driver.error.is_none(), "{:?}", report.driver.error);
 }
+
+/// A unary completion holds no worker while it runs: with a single
+/// worker and a slow clock, a status poll sent behind a long unary
+/// request is answered while that request is still in flight, and the
+/// unary response is still written when shutdown drains the sim.
+#[test]
+fn a_long_unary_completion_does_not_hold_the_only_worker() {
+    let mut gc = GatewayConfig::local(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe));
+    gc.workers = 1;
+    gc.time_scale = 1.0; // 256 decode steps take seconds of wall time
+    let gw = Gateway::start(gc).unwrap();
+    let addr = gw.addr();
+    let mut unary = TcpStream::connect(addr).unwrap();
+    unary
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    unary
+        .write_all(&completion_request(r#"{"prompt_tokens": 64, "max_tokens": 256}"#).encode())
+        .unwrap();
+    // The one worker takes the unary connection first (FIFO), so the
+    // status poll is only answered once that worker is free again.
+    let mut parser = exchange(
+        addr,
+        &HttpRequest::new("GET", "/v1/cluster/status", Vec::new()),
+    );
+    assert_eq!(parser.status(), Some(200));
+    let v: Value = serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+    assert_eq!(
+        v["report"]["snapshot"]["completed_requests"].as_u64(),
+        Some(0),
+        "status must be answered while the unary completion is in flight"
+    );
+    let report = gw.shutdown();
+    assert_eq!(report.driver.completed, 1);
+    let mut bytes = Vec::new();
+    unary.read_to_end(&mut bytes).unwrap();
+    let mut parser = ResponseParser::new();
+    parser.feed(&bytes).unwrap();
+    assert_eq!(parser.status(), Some(200));
+    let v: Value = serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+    assert_eq!(v["usage"]["completion_tokens"].as_u64(), Some(256));
+}
+
+/// With every worker busy and the 64-job backlog full, the acceptor
+/// answers the next connection itself with a typed `503 overloaded`,
+/// and the shutdown report counts it.
+#[test]
+fn a_full_worker_backlog_answers_a_counted_overloaded_503() {
+    let mut gc = GatewayConfig::local(ServeConfig::opt_13b_sharegpt(SystemKind::WindServe));
+    gc.workers = 1;
+    let gw = Gateway::start(gc).unwrap();
+    let addr = gw.addr();
+    // Idle connections that never send a request: one holds the only
+    // worker in its read, the other 64 fill the backlog.
+    let idle: Vec<TcpStream> = (0..65).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    // The probe sends nothing either, so the inline answer is not
+    // followed by a reset for unread request bytes.
+    let mut probe = TcpStream::connect(addr).unwrap();
+    probe
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut bytes = Vec::new();
+    probe.read_to_end(&mut bytes).unwrap();
+    let mut parser = ResponseParser::new();
+    parser.feed(&bytes).unwrap();
+    assert_eq!(parser.status(), Some(503));
+    assert!(parser.header("retry-after").is_some(), "backoff hint");
+    let v: Value = serde_json::from_str(std::str::from_utf8(&parser.take_body()).unwrap()).unwrap();
+    assert_eq!(v["error"]["type"].as_str(), Some("overloaded"));
+    drop(idle);
+    let report = gw.shutdown();
+    assert!(report.backlog_rejected >= 1, "{report:?}");
+    assert_eq!(report.driver.submitted, 0);
+}
